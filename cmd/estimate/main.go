@@ -34,7 +34,7 @@ func main() {
 		truth    = flag.Bool("truth", false, "also execute the query for the exact cardinality")
 		parallel = flag.Int("parallel", 0, "width of the shared exec worker pool for -build scans and query pipelines (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
 		batch    = flag.Int("batch", 0, "executor rows per batch (0 = adaptive from plan width)")
-		memFlag  = flag.String("mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins and sorts spill beyond it")
+		memFlag  = flag.String("mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins spill beyond it")
 		spillOn  = flag.Bool("spill-compress", true, "spill block-compressed SRN2 runs; =false spills raw SRN1 (same results, more spill bytes)")
 		seed     = flag.Int64("seed", 1, "random seed")
 	)

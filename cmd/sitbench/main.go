@@ -37,7 +37,7 @@ func main() {
 		optCap    = flag.Int("opt-cap", 2000000, "abort Opt after this many A* expansions (0 = unlimited); capped instances count as failures")
 		parallel  = flag.Int("parallel", 0, "width of the shared exec worker pool, used by experiment cells, shared scans, and query pipelines (0 = all CPUs, 1 = serial; output is bit-identical at every width)")
 		batch     = flag.Int("batch", 0, "executor rows per batch (0 = adaptive from plan width)")
-		memBudget = flag.String("mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins and sorts spill beyond it")
+		memBudget = flag.String("mem-budget", "0", "executor memory budget, e.g. 512M or 2G (0 = unlimited); joins spill beyond it")
 		spillOn   = flag.Bool("spill-compress", true, "spill block-compressed SRN2 runs; =false spills raw SRN1 (same results, more spill bytes)")
 		seed      = flag.Int64("seed", 11, "random seed")
 	)

@@ -9,7 +9,7 @@
 // Endpoints:
 //
 //	GET  /estimate?query=T1+JOIN+T2+ON+T1.jnext+=+T2.jprev&pred=T2.a:0:100
-//	POST /estimate   {"query": "...", "preds": [{"table":"T2","attr":"a","lo":0,"hi":100}]}
+//	POST /estimate   {"query": "...", "preds": [{"table":"T2","attr":"a","lo":0,"hi":100}]} (body at most 1 MiB)
 //	GET  /stats      cache hit/miss counters, registry epoch, SIT count
 //	POST /refresh    run one staleness sweep immediately
 //	GET  /healthz    liveness
@@ -36,6 +36,14 @@ import (
 	"time"
 
 	"github.com/sitstats/sits"
+)
+
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers, so a slow or stalled client cannot pin a connection forever, and
+// an idle keep-alive connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -138,7 +146,12 @@ func run(addr, csvDir, segDir, tables, sitsFile, builds, methodName,
 		fmt.Printf("background refresh every %v at staleness threshold %.2f\n", refresh, threshold)
 	}
 
-	srv := &http.Server{Addr: addr, Handler: newServer(svc, threshold)}
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           newServer(svc, threshold),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	errc := make(chan error, 1)

@@ -38,6 +38,11 @@ func newServer(svc *sits.Service, threshold float64) http.Handler {
 	return mux
 }
 
+// maxEstimateBody caps a POST /estimate body. A request is one expression
+// plus a handful of predicates, so 1 MiB is far beyond any real request and
+// bounds what a misbehaving client can make the server buffer.
+const maxEstimateBody = 1 << 20
+
 // estimateRequest is the POST body form of an estimation request. The GET
 // form carries the same fields as ?query=...&pred=T.a:lo:hi[,...].
 type estimateRequest struct {
@@ -92,8 +97,13 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			req.Preds = append(req.Preds, predBody{Table: p.Table, Attr: p.Attr, Lo: p.Lo, Hi: p.Hi})
 		}
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, fmt.Errorf("decoding request: %w", err))
 			return
 		}
 	default:

@@ -120,6 +120,20 @@ func TestServerErrors(t *testing.T) {
 	getJSON(t, h, http.MethodGet, "/refresh", "", http.StatusMethodNotAllowed, nil)
 }
 
+// TestServerBodyLimit: a POST body past maxEstimateBody is refused with 413
+// before it is buffered, and the server keeps answering normal requests.
+func TestServerBodyLimit(t *testing.T) {
+	h, _ := newTestServer(t)
+	huge := `{"query": "` + strings.Repeat("x", maxEstimateBody) + `"}`
+	getJSON(t, h, http.MethodPost, "/estimate", huge, http.StatusRequestEntityTooLarge, nil)
+	body := `{"query": "T1 JOIN T2 ON T1.jnext = T2.jprev", "preds": [{"table":"T2","attr":"a","lo":0,"hi":900}]}`
+	var resp estimateResponse
+	getJSON(t, h, http.MethodPost, "/estimate", body, http.StatusOK, &resp)
+	if resp.Cardinality <= 0 {
+		t.Fatalf("cardinality %v after an oversized request, want > 0", resp.Cardinality)
+	}
+}
+
 func TestServerStatsAndRefresh(t *testing.T) {
 	h, cat := newTestServer(t)
 

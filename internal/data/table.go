@@ -33,7 +33,7 @@ type Table struct {
 	byName map[string]int
 	// gen counts mutations (appends, column replacement, and capacity growth,
 	// which may reallocate the backing arrays). Caches that retain derived
-	// state keyed on a table — sorted runs, join intermediates, served
+	// state keyed on a table — join intermediates, served
 	// estimates — record the generation they were built against and must
 	// assert it still matches before serving, so a mutated table can never
 	// satisfy a stale lookup. The counter is atomic so concurrent cache

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/sitstats/sits/internal/data"
+	"github.com/sitstats/sits/internal/mem"
 	"github.com/sitstats/sits/internal/query"
 )
 
@@ -73,84 +74,80 @@ func TestBatchScan(t *testing.T) {
 	}
 }
 
-func TestBatchFilterAndProject(t *testing.T) {
+func TestAdaptiveBatchSize(t *testing.T) {
+	cases := []struct{ ncols, want int }{
+		{0, DefaultBatchSize},
+		{1, DefaultBatchSize},
+		{16, DefaultBatchSize}, // 128KiB / (8*16) = exactly 1024 rows
+		{17, 512},
+		{33, 256},
+		{256, MinBatchSize},
+		{10000, MinBatchSize},
+	}
+	for _, c := range cases {
+		if got := AdaptiveBatchSize(c.ncols); got != c.want {
+			t.Errorf("AdaptiveBatchSize(%d) = %d, want %d", c.ncols, got, c.want)
+		}
+	}
+	// Always a power of two within [MinBatchSize, DefaultBatchSize], and
+	// monotonically non-increasing in the column count.
+	prev := DefaultBatchSize
+	for n := 1; n < 2000; n++ {
+		got := AdaptiveBatchSize(n)
+		if got < MinBatchSize || got > DefaultBatchSize || got&(got-1) != 0 {
+			t.Fatalf("AdaptiveBatchSize(%d) = %d out of contract", n, got)
+		}
+		if got > prev {
+			t.Fatalf("AdaptiveBatchSize not monotone at %d: %d > %d", n, got, prev)
+		}
+		prev = got
+	}
+}
+
+func TestBatchFilter(t *testing.T) {
 	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}, {4, 40}})
 	f, err := NewBatchRangeFilter(NewBatchScan(tab), "R.a", 15, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := drainBatches(t, f)
-	if !reflect.DeepEqual(rows, [][]int64{{2, 20}, {3, 30}}) {
+	want := [][]int64{{2, 20}, {3, 30}}
+	if rows := drainBatches(t, f); !reflect.DeepEqual(rows, want) {
 		t.Errorf("filtered = %v", rows)
+	}
+	f.Reset()
+	if rows := drainBatches(t, f); !reflect.DeepEqual(rows, want) {
+		t.Errorf("after Reset = %v", rows)
+	}
+	// A filter over a filter narrows the inherited selection vector.
+	g, err := NewBatchRangeFilter(f, "R.x", 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Reset()
+	if rows := drainBatches(t, g); !reflect.DeepEqual(rows, [][]int64{{3, 30}}) {
+		t.Errorf("stacked filter = %v", rows)
 	}
 	if _, err := NewBatchRangeFilter(NewBatchScan(tab), "R.zz", 0, 1); err == nil {
 		t.Error("bad column: want error")
 	}
-
-	f.Reset()
-	p, err := NewBatchProject(f, "R.a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows = drainBatches(t, p)
-	if !reflect.DeepEqual(rows, [][]int64{{20}, {30}}) {
-		t.Errorf("projected through filter = %v", rows)
-	}
-	if _, err := NewBatchProject(NewBatchScan(tab), "bogus"); err == nil {
-		t.Error("bad project column: want error")
-	}
-}
-
-// TestRowsBatchesAdapters: wrapping row->batch->row preserves the stream.
-func TestRowsBatchesAdapters(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	direct := drain(t, NewTableScan(tab))
-	adapted := drain(t, NewRows(NewBatches(NewTableScan(tab))))
-	if !reflect.DeepEqual(direct, adapted) {
-		t.Errorf("adapted rows = %v, want %v", adapted, direct)
-	}
-	a := NewRows(NewBatchScan(tab))
-	if got := drain(t, a); !reflect.DeepEqual(got, direct) {
-		t.Errorf("batch-scan rows = %v, want %v", got, direct)
-	}
-	a.Reset()
-	if got := drain(t, a); len(got) != 3 {
-		t.Errorf("after Reset: %v", got)
-	}
 }
 
 // TestVecHashJoinBitIdentical: the vectorized join must produce exactly the
-// same output sequence (not just multiset) as the row HashJoin and the
-// NestedLoopJoin reference, at every parallelism level.
+// same output sequence (not just multiset) as the nested-loop reference, at
+// every parallelism level.
 func TestVecHashJoinBitIdentical(t *testing.T) {
 	r, s := randomJoinInputs(3, 5000, 4000, 300)
-	want := drain(t, mustNestedLoop(t, NewTableScan(r), NewTableScan(s),
-		JoinCond{LeftCol: "R.x", RightCol: "S.y"}))
-	rowJoin, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(t, rowJoin); !reflect.DeepEqual(got, want) {
-		t.Fatalf("row HashJoin output differs from NestedLoopJoin (%d vs %d rows)", len(got), len(want))
-	}
+	cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
+	want := refJoin(refTable(r), refTable(s), cond).rows
 	for _, p := range []int{1, 2, 4, 0} {
-		vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+		vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, cond)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := drainBatches(t, vj); !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: VecHashJoin output differs from NestedLoopJoin (%d vs %d rows)", p, len(got), len(want))
+			t.Fatalf("parallelism %d: VecHashJoin output differs from the reference (%d vs %d rows)", p, len(got), len(want))
 		}
 	}
-}
-
-func mustNestedLoop(t *testing.T, l, r Operator, conds ...JoinCond) *NestedLoopJoin {
-	t.Helper()
-	j, err := NewNestedLoopJoin(l, r, conds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
 }
 
 // TestVecHashJoinLongChain exercises a match chain longer than a batch, which
@@ -236,69 +233,38 @@ func randomMultiCondInputs(seed int64) (*data.Table, *data.Table, []JoinCond) {
 	return r, s, conds
 }
 
-// TestJoinPropertyMultiCond is the property test over the three join
-// implementations: on randomized multi-condition inputs (duplicates on both
-// sides, negative keys, empty inputs) HashJoin, VecHashJoin, NestedLoopJoin,
-// and MergeJoin (on the first condition, remaining conditions as a filter)
-// must produce identical sorted outputs.
+// TestJoinPropertyMultiCond is the join property test: on randomized
+// multi-condition inputs (duplicates on both sides, negative keys, empty
+// inputs) VecHashJoin must reproduce the nested-loop reference row for row at
+// every parallelism level, in memory and spilled through the grace join.
 func TestJoinPropertyMultiCond(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r, s, conds := randomMultiCondInputs(seed)
-
-		nj := mustNestedLoop(t, NewTableScan(r), NewTableScan(s), conds...)
-		want := drain(t, nj)
-		sortRows(want)
-
-		hj, err := NewHashJoin(NewTableScan(r), NewTableScan(s), conds...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, hj)
-		sortRows(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: HashJoin != NestedLoopJoin (%d vs %d rows)", seed, len(got), len(want))
-		}
-
-		for _, p := range []int{1, 3} {
-			vj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, conds...)
-			if err != nil {
-				t.Fatal(err)
+		want := refJoin(refTable(r), refTable(s), conds...).rows
+		for _, budget := range []int64{0, 1} {
+			for _, p := range []int{1, 3} {
+				gov := mem.NewGovernor(budget)
+				vj, err := NewVecHashJoinMem(NewBatchScan(r), NewBatchScan(s), p, 0, gov, conds...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := drainBatches(t, vj); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d budget %d parallelism %d: VecHashJoin != reference (%d vs %d rows)",
+						seed, budget, p, len(got), len(want))
+				}
+				ClosePlan(vj)
+				if err := gov.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			vg := drainBatches(t, vj)
-			sortRows(vg)
-			if !reflect.DeepEqual(vg, want) {
-				t.Fatalf("seed %d parallelism %d: VecHashJoin != NestedLoopJoin (%d vs %d rows)", seed, p, len(vg), len(want))
-			}
-		}
-
-		// MergeJoin handles the first condition; the second is applied as an
-		// equality filter on top — together an equivalent multi-condition join.
-		ls, err := NewSort(NewTableScan(r), "R.w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewSort(NewTableScan(s), "S.x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mj, err := NewMergeJoin(ls, rs, "R.w", "S.x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		iy, _ := columnIndex(mj.Columns(), "R.y")
-		iz, _ := columnIndex(mj.Columns(), "S.z")
-		mg := drain(t, NewFilter(mj, func(row []int64) bool { return row[iy] == row[iz] }))
-		sortRows(mg)
-		if !reflect.DeepEqual(mg, want) {
-			t.Fatalf("seed %d: MergeJoin+filter != NestedLoopJoin (%d vs %d rows)", seed, len(mg), len(want))
 		}
 	}
 }
 
-// TestPlanBatchMatchesRowReference: the full batch pipeline (Plan + the Rows
-// adapter) must be row-for-row identical to a reference plan assembled from
-// NestedLoopJoin in the same join order, and identical at every parallelism
-// level — the executor-rewrite acceptance check.
+// TestPlanBatchMatchesRowReference: the full batch pipeline must be
+// row-for-row identical to the nested-loop reference evaluated in the same
+// join order, at every parallelism level and budget — the executor's
+// acceptance check.
 func TestPlanBatchMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cat := data.NewCatalog()
@@ -322,68 +288,36 @@ func TestPlanBatchMatchesRowReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: the same connectivity-preserving join order with nested
-	// loops (build side left, probe side right), row at a time.
-	j1 := mustNestedLoop(t, NewTableScan(s), NewTableScan(r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
-	j2 := mustNestedLoop(t, NewTableScan(u), j1, JoinCond{LeftCol: "T.w", RightCol: "S.z"})
-	want := drain(t, j2)
-
-	for _, p := range []int{1, 2, 0} {
-		op, err := PlanBatch(cat, e, Options{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drainBatches(t, op)
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: %d rows, want %d", p, len(got), len(want))
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: batch plan output differs from nested-loop reference", p)
-		}
+	// The connectivity-preserving join order spelled out: each new table is
+	// the build side (left), the accumulated result the probe side (right).
+	j1 := refJoin(refTable(s), refTable(r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
+	want := refJoin(refTable(u), j1, JoinCond{LeftCol: "T.w", RightCol: "S.z"})
+	if ref, err := refPlan(cat, e); err != nil || !reflect.DeepEqual(ref, want) {
+		t.Fatalf("refPlan disagrees with the spelled-out join order (err %v)", err)
 	}
 
-	// Materialize through the batch pipeline must agree with a row-at-a-time
-	// materialization of the reference.
-	op, err := Plan(cat, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := Materialize(op, "RST")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Reset()
-	// NestedLoopJoin.Reset only rewinds the probe side; rebuild to be safe.
-	j1b := mustNestedLoop(t, NewTableScan(s), NewTableScan(r), JoinCond{LeftCol: "S.y", RightCol: "R.x"})
-	j2b := mustNestedLoop(t, NewTableScan(u), j1b, JoinCond{LeftCol: "T.w", RightCol: "S.z"})
-	ref := drain(t, j2b)
-	if tab.NumRows() != len(ref) {
-		t.Fatalf("materialized %d rows, want %d", tab.NumRows(), len(ref))
-	}
-	for c, name := range tab.ColumnNames() {
-		col := tab.MustColumn(name)
-		for i := range ref {
-			if col[i] != ref[i][c] {
-				t.Fatalf("materialized [%d][%s] = %d, want %d", i, name, col[i], ref[i][c])
+	for _, budget := range []int64{0, 1} {
+		for _, p := range []int{1, 2, 0} {
+			gov := mem.NewGovernor(budget)
+			op, err := PlanBatch(cat, e, Options{Parallelism: p, Gov: gov})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(op.Columns(), want.cols) {
+				t.Fatalf("columns = %v, want %v", op.Columns(), want.cols)
+			}
+			got := drainBatches(t, op)
+			if len(got) != len(want.rows) {
+				t.Fatalf("budget %d parallelism %d: %d rows, want %d", budget, p, len(got), len(want.rows))
+			}
+			if !reflect.DeepEqual(got, want.rows) {
+				t.Fatalf("budget %d parallelism %d: batch plan output differs from nested-loop reference", budget, p)
+			}
+			ClosePlan(op)
+			if err := gov.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-}
-
-// TestMaterializeRowOperator: Materialize still accepts arbitrary row
-// operators (not produced by Plan).
-func TestMaterializeRowOperator(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	f, err := NewRangeFilter(NewTableScan(tab), "R.a", 15, 35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Materialize(f, "F")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 2 || !out.HasColumn("R_a") {
-		t.Errorf("materialized: %d rows, cols %v", out.NumRows(), out.ColumnNames())
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 // Spilled state lives outside the process, so the engine must never trust it
 // blindly: every run frame carries a checksum, and these tests prove that a
 // disk that flips a bit or drops a tail turns into a loud spill panic on the
-// re-read path — for the external sort and the grace join, in both the
-// compressed (SRN2) and raw (SRN1) run formats — never into silently wrong
-// rows.
+// re-read path of the grace join, in both the compressed (SRN2) and raw
+// (SRN1) run formats — never into silently wrong rows.
 
 // expectSpillPanic runs fn and asserts it panics with a message mentioning
 // substr.
@@ -95,59 +94,22 @@ func chopTail(t *testing.T) func(path string, size int64) {
 	}
 }
 
-func TestExternalSortCorruptRunDetected(t *testing.T) {
-	tab, _ := spillJoinTables(t, 4000, 1)
+func TestGraceJoinCorruptRunDetected(t *testing.T) {
+	l, r := spillJoinTables(t, 3000, 4000)
+	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
 	for _, tc := range []struct {
 		name     string
 		compress bool
 		damage   func(t *testing.T) func(string, int64)
 		want     string
 	}{
-		{"srn2-bitflip", true, flipByte, "checksum"},
-		{"srn2-truncated", true, chopTail, "truncated"},
+		{"bitflip", true, flipByte, "checksum"},
+		{"truncated", true, chopTail, "truncated"},
 		{"srn1-bitflip", false, flipByte, "checksum"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gov := mem.NewGovernor(1)
 			gov.SetSpillCompression(tc.compress)
-			s, err := NewBatchSortMem(NewBatchScan(tab), "L.k", 0, gov, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := drainBatches(t, s); len(got) != tab.NumRows() {
-				t.Fatalf("sort emitted %d of %d rows", len(got), tab.NumRows())
-			}
-			if n := corruptRuns(t, gov, tc.damage(t)); n == 0 {
-				t.Fatal("no spilled runs on disk; the corruption is not exercised")
-			}
-			expectSpillPanic(t, tc.want, func() {
-				s.Reset()
-				for {
-					if _, ok := s.NextBatch(); !ok {
-						break
-					}
-				}
-			})
-			if err := gov.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestGraceJoinCorruptRunDetected(t *testing.T) {
-	l, r := spillJoinTables(t, 3000, 4000)
-	cond := JoinCond{LeftCol: "L.k", RightCol: "R.k"}
-	for _, tc := range []struct {
-		name   string
-		damage func(t *testing.T) func(string, int64)
-		want   string
-	}{
-		{"bitflip", flipByte, "checksum"},
-		{"truncated", chopTail, "truncated"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			gov := mem.NewGovernor(1)
 			j, err := NewVecHashJoinMem(NewBatchScan(l), NewBatchScan(r), 2, 0, gov, cond)
 			if err != nil {
 				t.Fatal(err)

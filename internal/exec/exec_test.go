@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"github.com/sitstats/sits/internal/data"
+	"github.com/sitstats/sits/internal/mem"
 	"github.com/sitstats/sits/internal/query"
 )
 
@@ -22,107 +23,29 @@ func makeTable(t *testing.T, name string, cols []string, rows [][]int64) *data.T
 	return tab
 }
 
-func drain(t *testing.T, op Operator) [][]int64 {
-	t.Helper()
-	var out [][]int64
-	for {
-		row, ok := op.Next()
-		if !ok {
-			return out
-		}
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		out = append(out, cp)
-	}
-}
-
-func sortRows(rows [][]int64) {
-	sort.Slice(rows, func(i, j int) bool {
-		for k := range rows[i] {
-			if rows[i][k] != rows[j][k] {
-				return rows[i][k] < rows[j][k]
-			}
-		}
-		return false
-	})
-}
-
-func TestTableScan(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}})
-	s := NewTableScan(tab)
-	if !reflect.DeepEqual(s.Columns(), []string{"R.x", "R.a"}) {
-		t.Errorf("columns = %v", s.Columns())
-	}
-	rows := drain(t, s)
-	if !reflect.DeepEqual(rows, [][]int64{{1, 10}, {2, 20}}) {
-		t.Errorf("rows = %v", rows)
-	}
-	s.Reset()
-	if got := drain(t, s); len(got) != 2 {
-		t.Errorf("after Reset: %v", got)
-	}
-}
-
-func TestFilterAndProject(t *testing.T) {
-	tab := makeTable(t, "R", []string{"x", "a"}, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	f, err := NewRangeFilter(NewTableScan(tab), "R.a", 15, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drain(t, f)
-	if !reflect.DeepEqual(rows, [][]int64{{2, 20}}) {
-		t.Errorf("filtered = %v", rows)
-	}
-	if _, err := NewRangeFilter(NewTableScan(tab), "R.zz", 0, 1); err == nil {
-		t.Error("bad column: want error")
-	}
-
-	p, err := NewProject(NewTableScan(tab), "R.a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Columns(), []string{"R.a"}) {
-		t.Errorf("project columns = %v", p.Columns())
-	}
-	rows = drain(t, p)
-	if !reflect.DeepEqual(rows, [][]int64{{10}, {20}, {30}}) {
-		t.Errorf("projected = %v", rows)
-	}
-	if _, err := NewProject(NewTableScan(tab), "bogus"); err == nil {
-		t.Error("bad project column: want error")
-	}
-}
-
 func TestHashJoinSmall(t *testing.T) {
 	r := makeTable(t, "R", []string{"x"}, [][]int64{{1}, {2}, {2}, {5}})
 	s := makeTable(t, "S", []string{"y", "a"}, [][]int64{{2, 100}, {3, 200}, {2, 300}, {1, 400}})
-	j, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+	j, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), 1, JoinCond{LeftCol: "R.x", RightCol: "S.y"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(j.Columns(), []string{"R.x", "S.y", "S.a"}) {
 		t.Errorf("columns = %v", j.Columns())
 	}
-	rows := drain(t, j)
-	sortRows(rows)
+	// Probe rows in order, each with its build matches in build order.
 	want := [][]int64{
-		{1, 1, 400},
 		{2, 2, 100}, {2, 2, 100},
 		{2, 2, 300}, {2, 2, 300},
+		{1, 1, 400},
 	}
-	if !reflect.DeepEqual(rows, want) {
+	if rows := drainBatches(t, j); !reflect.DeepEqual(rows, want) {
 		t.Errorf("join = %v, want %v", rows, want)
 	}
 	// Reset re-probes with the retained build side.
 	j.Reset()
-	if got := drain(t, j); len(got) != 5 {
-		t.Errorf("after Reset: %d rows", len(got))
-	}
-	if _, err := NewHashJoin(NewTableScan(r), NewTableScan(s)); err == nil {
-		t.Error("no conditions: want error")
-	}
-	if _, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.q", RightCol: "S.y"}); err == nil {
-		t.Error("bad column: want error")
+	if got := drainBatches(t, j); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Reset: %v", got)
 	}
 }
 
@@ -140,45 +63,27 @@ func randomJoinInputs(seed int64, n1, n2, domain int) (*data.Table, *data.Table)
 	return r, s
 }
 
-// TestJoinEquivalence: hash join, merge join (over sorts) and nested loop
-// join must produce identical result multisets.
+// TestJoinEquivalence: the hash join must reproduce the nested-loop
+// reference row for row at every parallelism level.
 func TestJoinEquivalence(t *testing.T) {
+	cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
 	for seed := int64(0); seed < 5; seed++ {
 		r, s := randomJoinInputs(seed, 200, 150, 20)
-		hj, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nj, err := NewNestedLoopJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls, err := NewSort(NewTableScan(r), "R.x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := NewSort(NewTableScan(s), "S.y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mj, err := NewMergeJoin(ls, rs, "R.x", "S.y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, n, m := drain(t, hj), drain(t, nj), drain(t, mj)
-		sortRows(h)
-		sortRows(n)
-		sortRows(m)
-		if !reflect.DeepEqual(h, n) {
-			t.Fatalf("seed %d: hash join != nested loop (%d vs %d rows)", seed, len(h), len(n))
-		}
-		if !reflect.DeepEqual(h, m) {
-			t.Fatalf("seed %d: hash join != merge join (%d vs %d rows)", seed, len(h), len(m))
+		want := refJoin(refTable(r), refTable(s), cond).rows
+		for _, p := range []int{1, 4} {
+			hj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), p, cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := drainBatches(t, hj); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d parallelism %d: hash join != nested loop (%d vs %d rows)", seed, p, len(got), len(want))
+			}
 		}
 	}
 }
 
-// Property: all three joins agree on arbitrary small inputs.
+// Property: the hash join agrees with the reference on arbitrary small
+// inputs.
 func TestJoinEquivalenceQuick(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		r := data.MustNewTable("R", "x")
@@ -189,50 +94,15 @@ func TestJoinEquivalenceQuick(t *testing.T) {
 		for _, v := range ys {
 			s.AppendRow(int64(v % 8))
 		}
-		hj, err := NewHashJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
+		cond := JoinCond{LeftCol: "R.x", RightCol: "S.y"}
+		hj, err := NewVecHashJoin(NewBatchScan(r), NewBatchScan(s), 1, cond)
 		if err != nil {
 			return false
 		}
-		nj, err := NewNestedLoopJoin(NewTableScan(r), NewTableScan(s), JoinCond{LeftCol: "R.x", RightCol: "S.y"})
-		if err != nil {
-			return false
-		}
-		h := drainQuiet(hj)
-		n := drainQuiet(nj)
-		sortRows(h)
-		sortRows(n)
-		return reflect.DeepEqual(h, n)
+		return reflect.DeepEqual(drainBatches(t, hj), refJoin(refTable(r), refTable(s), cond).rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func drainQuiet(op Operator) [][]int64 {
-	var out [][]int64
-	for {
-		row, ok := op.Next()
-		if !ok {
-			return out
-		}
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		out = append(out, cp)
-	}
-}
-
-func TestMergeJoinDuplicatesBothSides(t *testing.T) {
-	r := makeTable(t, "R", []string{"x"}, [][]int64{{1}, {1}, {2}})
-	s := makeTable(t, "S", []string{"y"}, [][]int64{{1}, {1}, {1}, {2}})
-	ls, _ := NewSort(NewTableScan(r), "R.x")
-	rs, _ := NewSort(NewTableScan(s), "S.y")
-	mj, err := NewMergeJoin(ls, rs, "R.x", "S.y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drain(t, mj)
-	if len(rows) != 2*3+1 {
-		t.Errorf("merge join rows = %d, want 7", len(rows))
 	}
 }
 
@@ -268,19 +138,17 @@ func TestPlanAndMaterializeChain(t *testing.T) {
 	if n != 3 {
 		t.Errorf("range cardinality = %d, want 3", n)
 	}
-	op, err := Plan(cat, e)
+	op, err := PlanBatch(cat, e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Materialize(op, "RST")
+	defer ClosePlan(op)
+	ref, err := refPlan(cat, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.NumRows() != 5 {
-		t.Errorf("materialized rows = %d", tab.NumRows())
-	}
-	if !tab.HasColumn("S_a") {
-		t.Errorf("materialized columns = %v", tab.ColumnNames())
+	if got := drainBatches(t, op); !reflect.DeepEqual(op.Columns(), ref.cols) || !reflect.DeepEqual(got, ref.rows) {
+		t.Errorf("plan %v = %v, want %v %v", op.Columns(), got, ref.cols, ref.rows)
 	}
 }
 
@@ -325,10 +193,47 @@ func TestPlanErrors(t *testing.T) {
 	cat := data.NewCatalog()
 	cat.MustAdd(makeTable(t, "R", []string{"x"}, nil))
 	e := query.MustNewExpr(query.JoinPred{LeftTable: "R", LeftAttr: "x", RightTable: "S", RightAttr: "y"})
-	if _, err := Plan(cat, e); err == nil {
+	if _, err := PlanBatch(cat, e, Options{}); err == nil {
 		t.Error("missing table S: want error")
 	}
 	if _, err := AttrValues(cat, e, "S", "a"); err == nil {
 		t.Error("AttrValues with missing table: want error")
+	}
+}
+
+// TestOperatorResets: every operator's Reset replays its stream — filters
+// rewind their input, hash joins re-probe the retained build side (or replay
+// their spilled output runs), and pipelines restart their morsels.
+func TestOperatorResets(t *testing.T) {
+	cat, e := chainCatalog(1_000, 200)
+	gov := mem.NewGovernor(1)
+	defer func() {
+		if err := gov.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, opts := range []Options{
+		{Parallelism: 1},
+		{Parallelism: 1, Gov: gov},
+		{Parallelism: 4, BatchSize: 64},
+	} {
+		op, err := PlanBatch(cat, e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewBatchRangeFilter(op, "T3.a", 100, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := drainBatches(t, f)
+		if len(first) == 0 {
+			t.Fatal("filtered plan is empty; the test data is broken")
+		}
+		f.Reset()
+		if again := drainBatches(t, f); !reflect.DeepEqual(again, first) {
+			t.Errorf("parallelism %d budgeted %v: Reset replay diverges (%d vs %d rows)",
+				opts.Parallelism, opts.Gov != nil, len(again), len(first))
+		}
+		ClosePlan(f)
 	}
 }

@@ -27,10 +27,10 @@ func pipelineTable(t *testing.T, rows int) *data.Table {
 // poolWidths is the property matrix of the determinism suite.
 var poolWidths = []int{1, 2, 4, 8}
 
-// TestPipelineFilterProjectBitIdentical drives a scan → filter → project
-// chain through NewPipeline at every pool width and asserts the emitted row
-// stream equals the serial chain's bit for bit.
-func TestPipelineFilterProjectBitIdentical(t *testing.T) {
+// TestPipelineFilterBitIdentical drives a scan → filter → filter chain
+// through NewPipeline at every pool width and asserts the emitted row stream
+// equals the serial chain's bit for bit.
+func TestPipelineFilterBitIdentical(t *testing.T) {
 	tab := pipelineTable(t, 10_000)
 	const batch = 128
 	chain := func(src BatchOperator) (BatchOperator, error) {
@@ -38,7 +38,7 @@ func TestPipelineFilterProjectBitIdentical(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return NewBatchProject(f, "P.v", "P.k")
+		return NewBatchRangeFilter(f, "P.w", 10, 39)
 	}
 	serial := func() BatchOperator {
 		op, err := chain(NewBatchScanSize(tab, batch))
@@ -176,45 +176,6 @@ func TestVecHashJoinWidthBudgetMatrix(t *testing.T) {
 	}
 }
 
-// TestBatchSortParallelGatherMatchesReference exercises the pool-parallel
-// gather path (input larger than one gather block) against the spilled merge
-// path and the serial reference.
-func TestBatchSortParallelGatherMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tab := data.MustNewTable("G", "k", "v")
-	n := gatherBlockRows + 1234
-	tab.Grow(n)
-	for i := 0; i < n; i++ {
-		if err := tab.AppendRow(rng.Int63n(5000), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk := func(gov *mem.Governor) *BatchSort {
-		s, err := NewBatchSortMem(NewBatchScan(tab), "G.k", 0, gov, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	ref := drainBatches(t, mk(nil)) // in-memory path: pool-parallel gather
-	for i := 1; i < len(ref); i++ {
-		if ref[i][0] < ref[i-1][0] {
-			t.Fatalf("gather output not sorted at %d", i)
-		}
-		if ref[i][0] == ref[i-1][0] && ref[i][1] < ref[i-1][1] {
-			t.Fatalf("gather output not stable at %d", i)
-		}
-	}
-	ws := int64(n) * 2 * 8
-	gov := mem.NewGovernor(ws / 4)
-	if got := drainBatches(t, mk(gov)); !reflect.DeepEqual(got, ref) {
-		t.Fatal("spilled sort diverges from parallel-gather sort")
-	}
-	if err := gov.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBatchScanRange: the morsel source must cover exactly [lo, hi) and
 // Reset must rewind to lo, not 0.
 func TestBatchScanRange(t *testing.T) {
@@ -227,14 +188,12 @@ func TestBatchScanRange(t *testing.T) {
 	if rows[0][1] != 300 || rows[399][1] != 699 {
 		t.Fatalf("range scan bounds wrong: first v=%d last v=%d", rows[0][1], rows[399][1])
 	}
-	if s.wholeTable() {
-		t.Fatal("partial scan must not report wholeTable")
-	}
 	s.Reset()
 	if again := drainBatches(t, s); !reflect.DeepEqual(again, rows) {
 		t.Fatal("Reset did not rewind to the range start")
 	}
-	if !NewBatchScanRange(tab, 0, tab.NumRows(), 64).wholeTable() {
-		t.Fatal("full-range scan must report wholeTable")
+	// Out-of-range bounds clamp to the table.
+	if all := drainBatches(t, NewBatchScanRange(tab, -5, 5000, 64)); len(all) != tab.NumRows() {
+		t.Fatalf("clamped range scan returned %d rows, want %d", len(all), tab.NumRows())
 	}
 }

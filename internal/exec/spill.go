@@ -7,11 +7,11 @@ import (
 	"github.com/sitstats/sits/internal/mem"
 )
 
-// This file holds the pieces shared by the spill-capable operators: streaming
-// cursors over run-store files and the loser-tree k-way merge that recombines
-// spilled runs. The executor's Volcano interfaces carry no error channel, so
-// spill I/O failures (disk full, torn file, checksum mismatch) surface as
-// panics wrapping the underlying error; they are unrecoverable mid-plan.
+// This file holds the spill plumbing of the grace hash join: a streaming
+// cursor over run-store files and the loser-tree k-way merge that recombines
+// spilled output runs. BatchOperator carries no error channel, so spill I/O
+// failures (disk full, torn file, checksum mismatch) surface as panics
+// wrapping the underlying error; they are unrecoverable mid-plan.
 
 // spillBatchRows is the row granularity of spilled batches: small enough
 // that per-run streaming read buffers stay a few KiB, large enough to
@@ -21,58 +21,6 @@ const spillBatchRows = 1024
 // spillFail aborts the plan on an unrecoverable spill I/O error.
 func spillFail(context string, err error) {
 	panic(fmt.Errorf("exec: spill %s: %w", context, err))
-}
-
-// colCursor streams a column-major sorted run row by row. cols holds the
-// current batch; advancing past it pulls the next batch from the reader.
-type colCursor struct {
-	rd   *mem.RunReader
-	cols [][]int64
-	pos  int
-	n    int
-	done bool
-}
-
-func openColCursor(run *mem.Run) *colCursor {
-	rd, err := run.Open()
-	if err != nil {
-		spillFail("open sorted run", err)
-	}
-	c := &colCursor{rd: rd}
-	c.fill()
-	return c
-}
-
-// fill loads the next batch, marking the cursor done (and closing the
-// reader) at end of run.
-func (c *colCursor) fill() {
-	cols, err := c.rd.Next()
-	if err == io.EOF {
-		c.done = true
-		if cerr := c.rd.Close(); cerr != nil {
-			spillFail("close sorted run", cerr)
-		}
-		return
-	}
-	if err != nil {
-		spillFail("read sorted run", err)
-	}
-	c.cols = cols
-	c.pos = 0
-	c.n = 0
-	if len(cols) > 0 {
-		c.n = len(cols[0])
-	}
-}
-
-// advance steps one row forward.
-//
-//statcheck:hot
-func (c *colCursor) advance() {
-	c.pos++
-	if c.pos >= c.n {
-		c.fill()
-	}
 }
 
 // rowCursor streams a flat row-major run (single-column run whose values are
@@ -144,11 +92,10 @@ func (c *rowCursor) advance() {
 // because each replay does exactly one comparison per level, against the
 // heap's two.
 //
-// The tree works on cursor indices through a caller-provided ordering, so
-// the same structure merges sorted column runs (ordered by sort key, ties by
-// run index for stability) and grace-join output runs (ordered by the unique
-// probe sequence number). Indices >= n are padding leaves; less must order
-// exhausted and padding cursors after every live one.
+// The tree works on cursor indices through a caller-provided ordering (the
+// grace join orders its output runs by the unique probe sequence number).
+// Indices >= n are padding leaves; less must order exhausted and padding
+// cursors after every live one.
 type loserTree struct {
 	k    int     // leaf count, power of two
 	tree []int32 // tree[0] = overall winner; tree[1..k-1] = losers

@@ -6,10 +6,10 @@ import (
 	"github.com/sitstats/sits/internal/mem"
 )
 
-// Memory-governed execution benchmarks: each operator runs once with an
+// Memory-governed execution benchmarks: the hash join runs once with an
 // unlimited budget (pure in-memory path) and once with a budget of 25% of
-// its working set, so three quarters of the state spills through the run
-// store. The gap between the two is the price of spilling; the outputs are
+// its working set, so three quarters of the build side spills through the
+// run store. The gap between the two is the price of spilling; the outputs are
 // identical by construction (see spill_test.go). The spilling regime runs
 // twice — raw SRN1 runs vs compressed SRN2 runs — and reports the spilled
 // byte count and the raw/spilled compression ratio, so the wall-time cost
@@ -79,79 +79,4 @@ func BenchmarkGraceJoin(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExternalSort measures sorting a 500k-row scan in-memory vs as an
-// external merge sort with 75% of the buffer spilled into sorted runs.
-func BenchmarkExternalSort(b *testing.B) {
-	tab := benchSortInput(500_000)
-	ws := int64(tab.NumRows()*tab.NumCols()) * 8
-	for _, reg := range spillRegimes(ws) {
-		b.Run(reg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gov := mem.NewGovernor(reg.budget)
-				gov.SetSpillCompression(reg.compress)
-				s, err := NewBatchSortMem(NewBatchScan(tab), "R.x", 0, gov, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var rows int64
-				for {
-					batch, ok := s.NextBatch()
-					if !ok {
-						break
-					}
-					rows += int64(batch.NumRows())
-				}
-				if reg.budget > 0 {
-					reportSpill(b, gov)
-				}
-				if err := gov.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rows), "outrows")
-			}
-		})
-	}
-}
-
-// BenchmarkSortedRunCacheHit measures re-sorting an unchanged base table
-// with a shared SortCache (every iteration after the first is a generation
-// match serving the cached columns) against the cold path re-sorting from
-// scratch. The acceptance bar for this PR is warm/cold >= 5x.
-func BenchmarkSortedRunCacheHit(b *testing.B) {
-	tab := benchSortInput(500_000)
-	drainSort := func(b *testing.B, cache *SortCache) int64 {
-		s, err := NewBatchSortMem(NewBatchScan(tab), "R.x", 0, nil, cache)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rows int64
-		for {
-			batch, ok := s.NextBatch()
-			if !ok {
-				return rows
-			}
-			rows += int64(batch.NumRows())
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows := drainSort(b, nil)
-			b.ReportMetric(float64(rows), "outrows")
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := NewSortCache()
-		drainSort(b, cache) // populate
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rows := drainSort(b, cache)
-			b.ReportMetric(float64(rows), "outrows")
-		}
-		hits, _ := cache.Stats()
-		if hits < int64(b.N) {
-			b.Fatalf("cache served only %d hits over %d iterations", hits, b.N)
-		}
-	})
 }

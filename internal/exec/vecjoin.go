@@ -8,12 +8,18 @@ import (
 	"github.com/sitstats/sits/internal/mem"
 )
 
+// JoinCond is one equality condition between a left and a right column.
+type JoinCond struct {
+	LeftCol, RightCol string
+}
+
 // VecHashJoin is the vectorized equi-join: it drains the left (build) input
 // batch-wise into a joinTable — flat arena, open-addressing slots, build
 // partitioned by hash across workers — and streams the right (probe) input,
 // emitting concatenated left-row ++ right-row matches as column batches.
 // Matches are emitted per probe row in build-input order, so the output row
-// sequence equals the row-at-a-time HashJoin's at every parallelism level.
+// sequence equals a nested-loop join's (probe rows outer, build rows inner)
+// at every parallelism level.
 type VecHashJoin struct {
 	left, right BatchOperator
 	conds       []JoinCond
@@ -247,8 +253,7 @@ func (j *VecHashJoin) flush() *Batch {
 }
 
 // Reset implements BatchOperator: the hash table (or, in grace mode, the
-// spilled output runs) is retained and only the probe stream rewinds,
-// matching HashJoin's contract.
+// spilled output runs) is retained and only the probe stream rewinds.
 func (j *VecHashJoin) Reset() {
 	if j.grace != nil {
 		j.grace.reset()

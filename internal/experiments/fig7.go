@@ -47,8 +47,8 @@ type Fig7Config struct {
 	// adaptive from each plan's column width).
 	BatchSize int
 	// MemBudget caps each builder's and ground-truth plan's operator memory
-	// in bytes (0 = unlimited); under a budget joins and sorts spill, with
-	// identical results.
+	// in bytes (0 = unlimited); under a budget joins spill, with identical
+	// results.
 	MemBudget int64
 	// SpillRaw spills raw SRN1 runs instead of block-compressed SRN2 ones.
 	// The zero value keeps the engine default (compressed).

@@ -51,6 +51,7 @@ type Registry struct {
 	refresherDone  chan struct{}
 	refreshSweeps  atomic.Int64 // completed staleness sweeps
 	refreshRebuilt atomic.Int64 // SITs rebuilt by staleness sweeps
+	refreshErrors  atomic.Int64 // background sweeps that failed
 }
 
 // sitSet is one immutable epoch of the served catalog.
@@ -329,6 +330,7 @@ type RegistryStats struct {
 	SITs           int    `json:"sits"`
 	RefreshSweeps  int64  `json:"refresh_sweeps"`
 	RefreshRebuilt int64  `json:"refresh_rebuilt"`
+	RefreshErrors  int64  `json:"refresh_errors"`
 	MemBudget      int64  `json:"mem_budget"`
 	MemUsed        int64  `json:"mem_used"`
 	MemPeak        int64  `json:"mem_peak"`
@@ -343,6 +345,7 @@ func (r *Registry) Stats() RegistryStats {
 		SITs:           len(set.sits),
 		RefreshSweeps:  r.refreshSweeps.Load(),
 		RefreshRebuilt: r.refreshRebuilt.Load(),
+		RefreshErrors:  r.refreshErrors.Load(),
 		MemBudget:      gov.Budget(),
 		MemUsed:        gov.Used(),
 		MemPeak:        gov.Peak(),
@@ -381,7 +384,9 @@ func (r *Registry) StartRefresh(interval time.Duration, threshold float64) error
 			case <-ticker.C:
 				// Errors (e.g. a table dropped mid-sweep) leave the previous
 				// epoch serving; the next tick re-runs the sweep.
-				_, _ = r.Refresh(threshold)
+				if _, err := r.Refresh(threshold); err != nil {
+					r.refreshErrors.Add(1)
+				}
 			}
 		}
 	}()

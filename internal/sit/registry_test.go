@@ -290,6 +290,63 @@ func TestRegistryBackgroundRefresh(t *testing.T) {
 	}
 }
 
+// TestRegistryBackgroundRefreshCountsErrors replaces a served SIT's table
+// with a grown one that lacks the SIT's attribute, so every background sweep
+// finds the SIT stale and fails to rebuild it. The failures must show up in
+// RefreshErrors while the old epoch keeps serving.
+func TestRegistryBackgroundRefreshCountsErrors(t *testing.T) {
+	cat := chainCatalog(t)
+	reg, err := NewRegistry(cat, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	spec := mustSpec(t, registrySpecs[0]) // T2.a | T1 JOIN T2
+	served, err := reg.Get(spec, SweepFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch0 := reg.Epoch()
+
+	// The replacement T2 keeps the join columns, drops "a", and is 50%
+	// larger — past the 0.2 staleness threshold. The catalog is not
+	// synchronized, so the swap happens before the refresher starts.
+	old, err := cat.Table("T2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jprev, jnext := old.MustColumn("jprev"), old.MustColumn("jnext")
+	grown := data.MustNewTable("T2", "jprev", "jnext")
+	for i := 0; i < old.NumRows()*3/2; i++ {
+		if err := grown.AppendRow(jprev[i%len(jprev)], jnext[i%len(jnext)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat.Replace(grown)
+
+	if err := reg.StartRefresh(5*time.Millisecond, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for reg.Stats().RefreshErrors == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("failed background sweeps were never counted")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if got := reg.Epoch(); got != epoch0 {
+		t.Fatalf("epoch moved from %d to %d on a failed sweep", epoch0, got)
+	}
+	if s, ok := reg.Lookup(spec, SweepFull); !ok || s != served {
+		t.Fatal("the previously served SIT must keep serving after failed sweeps")
+	}
+}
+
 // TestRegistryAdoptReplacesServedSet adopts a persisted-style SIT and
 // asserts it replaces the served instance under a new epoch.
 func TestRegistryAdoptReplacesServedSet(t *testing.T) {
